@@ -52,9 +52,6 @@ func drawInput(w *workloadDef, seed int64) *input {
 	return in
 }
 
-// bytes is the size of the input buffer, subtracted from heap samples.
-func (in *input) bytes() int64 { return int64(len(in.keys)) * 8 }
-
 // digest is a SHA-256 over the key stream, recorded with each result so
 // two runs can show they measured the same input.
 func (in *input) digest() string {

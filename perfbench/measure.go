@@ -12,16 +12,29 @@ import (
 // untraced measures the end-to-end metrics over subInputs inputs drawn
 // from the seed, one after another: for each, the set-up time of several
 // builds, then a timed closed-loop phase of seconds/subInputs on the
-// last build. Samples pool across the inputs.
+// last build. Samples pool across the inputs. Each timed phase
+// interleaves reference-kernel samples with its work and its timings are
+// scaled by them (hostref.go): closed-loop figures per input cycle,
+// plan times per input and set-up times over the whole run.
 func untraced(w *workloadDef, seed int64, seconds float64) (*result, error) {
 	res := &result{Correct: true, Metrics: map[string]metric{}}
-	var setups, cycleP50, blocks, peaks, plans, skews []float64
+	var setups, cycleP50, blocks, peaks, plans, rawPlans, skews []float64
+	var loopRates, loopP50 []float64 // host-scaled, per input cycle
+	setupRef := &hostRef{}
+	loopRef := &hostRef{every: refEveryLoop}
+	planRef := &hostRef{every: refEveryPlan}
 	var timed, kept int
 	var emitted int64
 	for j := 0; j < subInputs; j++ {
 		in, want, planned := prepare(w, seed, j)
+		// The live heap before any build holds what the harness keeps:
+		// the input, the oracle's series and its planning snapshots,
+		// whose number varies from seed to seed. peak_heap_mb is net of it.
+		runtime.GC()
+		heapBase, _, _ := readRuntime()
 		var sys system
 		for i, n := 0, setupReps(w)/subInputs; i < n; i++ {
+			setupRef.sample()
 			runtime.GC()
 			t0 := time.Now()
 			s, err := build(w, in, nil)
@@ -36,7 +49,7 @@ func untraced(w *workloadDef, seed int64, seconds float64) (*result, error) {
 				return nil, fmt.Errorf("stop: %w", err)
 			}
 		}
-		ph := measure(sys, want, seconds/subInputs, nil)
+		ph := measure(sys, want, seconds/subInputs, nil, loopRef)
 		res.Attempted += ph.attempted
 		res.Failed += ph.failed
 		if ph.err != nil {
@@ -53,23 +66,35 @@ func untraced(w *workloadDef, seed int64, seconds float64) (*result, error) {
 			return res, errors.New("the oracle's controller never planned")
 		}
 		skews = append(skews, skew)
-		plans = append(plans, retimePlans(planned)...)
+		from := len(planRef.ns)
+		ts := retimePlans(planned, planRef)
+		slow := planRef.slowdownFrom(from)
+		for _, t := range ts {
+			plans = append(plans, t/slow)
+		}
+		rawPlans = append(rawPlans, ts...)
 		cycleP50 = append(cycleP50, ph.cycleP50...)
 		blocks = append(blocks, ph.blocks...)
-		peaks = append(peaks, float64(ph.peakHeap-in.bytes()))
+		for i, s := range ph.cycleSlow {
+			loopRates = append(loopRates, ph.blocks[i]*s)
+			loopP50 = append(loopP50, ph.cycleP50[i]/s)
+		}
+		peaks = append(peaks, float64(ph.peakHeap-heapBase))
 		timed += ph.timed
 		emitted += ph.emitted
 		kept += len(planned)
 	}
 	put := func(name, unit string, v float64) { res.Metrics[name] = metric{Value: v, Unit: unit} }
-	// Both timings take the better quartile of the input cycles, as
-	// phase.tuplesPerS explains.
-	put("tuples_per_s", "tuples/s", quantile(blocks, 0.75))
-	put("interval_ms_p50", "ms", quantile(cycleP50, 0.25))
+	put("tuples_per_s", "tuples/s", quantile(loopRates, 0.50))
+	put("interval_ms_p50", "ms", quantile(loopP50, 0.50))
 	put("plan_ms_p50", "ms", quantile(plans, 0.50))
 	put("skewness_mean", "ratio", mean(skews))
-	put("setup_s", "s", quantile(setups, 0.50))
+	put("setup_s", "s", quantile(setups, 0.50)/setupRef.slowdown())
 	put("peak_heap_mb", "MB", mean(peaks)/1e6)
+	fmt.Printf("# host slowdown (reference kernel median / %.0f µs): closed loop %.4f over %d samples, plans %.4f over %d, set-up %.4f over %d\n",
+		refNominalNs/1e3, loopRef.slowdown(), len(loopRef.ns), planRef.slowdown(), len(planRef.ns), setupRef.slowdown(), len(setupRef.ns))
+	fmt.Printf("# unscaled: tuples_per_s %.6g, interval_ms_p50 %.6g, plan_ms_p50 %.6g, setup_s %.6g (medians, as above)\n",
+		quantile(blocks, 0.50), quantile(cycleP50, 0.50), quantile(rawPlans, 0.50), quantile(setups, 0.50))
 	fmt.Printf("# samples: %d timed intervals in %d input cycles of %d (tuples_per_s, interval_ms_p50), "+
 		"%d plan timings over %d planning snapshots (plan_ms_p50), %d set-ups (setup_s), %d checked intervals (skewness_mean); "+
 		"%.0f tuples emitted per interval\n",
@@ -99,9 +124,14 @@ func traced(w *workloadDef, seed int64, seconds float64) (*result, error) {
 	var phases []*phase
 	var tracedSys system
 	tr := newTracer()
+	baseRef := &hostRef{every: refEveryLoop}
 	for i := 0; i < 3; i++ {
 		var t *tracer
-		if i == 1 {
+		var ref *hostRef
+		switch i {
+		case 0:
+			ref = baseRef
+		case 1:
 			t = tr
 		}
 		procs := runtime.GOMAXPROCS(0)
@@ -112,7 +142,7 @@ func traced(w *workloadDef, seed int64, seconds float64) (*result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("build: %w", err)
 		}
-		ph := measure(sys, want, third, t)
+		ph := measure(sys, want, third, t, ref)
 		runtime.GOMAXPROCS(procs)
 		res.Attempted += ph.attempted
 		res.Failed += ph.failed
@@ -160,6 +190,7 @@ func traced(w *workloadDef, seed int64, seconds float64) (*result, error) {
 	put("runtime.gc_cycles", "1/interval", float64(ph.gcCycles)/n)
 	put("runtime.gomaxprocs1_tuples_per_s", "tuples/s", single.tuplesPerS())
 	put("interval_ms_p95", "ms", quantile(base.ms, 0.95))
+	put("host.ref_us", "us", quantile(baseRef.ns, 0.5)/1e3)
 	put("trace.tuples_per_s", "tuples/s", ph.tuplesPerS())
 	put("trace.overhead_frac", "frac", 1-ph.tuplesPerS()/base.tuplesPerS())
 

@@ -81,6 +81,7 @@ type phase struct {
 	ms                []float64     // per timed interval wall, ms
 	blocks            []float64     // tuples/s of each timed input cycle
 	cycleP50          []float64     // median interval wall of each timed input cycle, ms
+	cycleSlow         []float64     // host slowdown during each timed input cycle (with a hostRef)
 	peakHeap          int64         // highest live heap at a timed interval's end, bytes
 	spans             []spanRec
 	tableMax          int
@@ -116,8 +117,9 @@ func readRuntime() (live int64, allocs, cycles uint64) {
 // drive runs warmup intervals, then times intervals until at least
 // seconds have passed, a whole number of input cycles has run and the
 // oracle window is covered. With tr set it records every timed
-// interval's spans. It stops at the first failing interval.
-func drive(sys system, seconds float64, tr *tracer) *phase {
+// interval's spans; between timed intervals it ticks ref. It stops at
+// the first failing interval.
+func drive(sys system, seconds float64, tr *tracer, ref *hostRef) *phase {
 	ph := &phase{}
 	step := func() bool {
 		ph.attempted++
@@ -144,6 +146,10 @@ func drive(sys system, seconds float64, tr *tracer) *phase {
 	budget := time.Duration(seconds * float64(time.Second))
 	var blockEmitted int64
 	var blockWall time.Duration
+	refStart := 0
+	if ref != nil {
+		refStart = len(ref.ns)
+	}
 	for {
 		if tr != nil {
 			tr.reset()
@@ -165,6 +171,13 @@ func drive(sys system, seconds float64, tr *tracer) *phase {
 			ph.blocks = append(ph.blocks, float64(blockEmitted)/blockWall.Seconds())
 			ph.cycleP50 = append(ph.cycleP50, quantile(ph.ms[len(ph.ms)-cycle:], 0.50))
 			blockEmitted, blockWall = 0, 0
+			if ref != nil {
+				if len(ref.ns) == refStart {
+					ref.sample()
+				}
+				ph.cycleSlow = append(ph.cycleSlow, ref.slowdownFrom(refStart))
+				refStart = len(ref.ns)
+			}
 		}
 		h, _, _ := readRuntime()
 		ph.peakHeap = max(ph.peakHeap, h)
@@ -175,6 +188,7 @@ func drive(sys system, seconds float64, tr *tracer) *phase {
 		if ph.wall >= budget && ph.timed%cycle == 0 && warmup+ph.timed >= checked {
 			break
 		}
+		ref.tick()
 	}
 	_, alloc1, cyc1 := readRuntime()
 	var ms1 runtime.MemStats
@@ -186,8 +200,8 @@ func drive(sys system, seconds float64, tr *tracer) *phase {
 
 // measure drives a built system, compares its leading intervals with
 // the oracle series and stops it.
-func measure(sys system, want []metrics.Interval, seconds float64, tr *tracer) *phase {
-	ph := drive(sys, seconds, tr)
+func measure(sys system, want []metrics.Interval, seconds float64, tr *tracer, ref *hostRef) *phase {
+	ph := drive(sys, seconds, tr, ref)
 	if ph.err == nil {
 		if bad := mismatches(sys.series(), want); bad > 0 {
 			ph.failed += bad

@@ -172,19 +172,26 @@ func (p *planCapture) Decide(_ control.Env, snap *stats.Snapshot) []control.Comm
 
 // retimePlans re-runs the Mixed planner on the kept planning inputs,
 // round-robin, at least minPlanSamples times and at least once per
-// input, and returns each call's wall time in ms. The planner is a pure
-// function of its input, so this measures plan generation on exactly
-// the snapshots the run planned on, without the timed loop's noise.
-func retimePlans(kept []planInput) []float64 {
+// input, and returns each call's wall time in ms; between calls it ticks
+// ref. The planner is a pure function of its input, so this measures
+// plan generation on exactly the snapshots the run planned on, without
+// the timed loop's noise. Each call plans on a fresh copy of its
+// snapshot in one reused buffer: a new clone per call (megabytes on
+// fluctuating-wide) kept the collector running through most timings,
+// and the plan times then moved with its pacing rather than the
+// planner's own work.
+func retimePlans(kept []planInput, ref *hostRef) []float64 {
 	runtime.GC() // start from a collected heap, as the timed window did
 	planner := topology.PlannerFor(topology.AlgMixed, 0, 0)
 	n := max(minPlanSamples, len(kept))
 	out := make([]float64, 0, n)
+	var snap stats.Snapshot
 	for i := 0; i < n; i++ {
+		ref.tick()
 		in := kept[i%len(kept)]
-		snap := in.snap.Clone()
+		snap = stats.Snapshot{Interval: in.snap.Interval, ND: in.snap.ND, Keys: append(snap.Keys[:0], in.snap.Keys...)}
 		t0 := time.Now()
-		planner.Plan(snap, in.cfg)
+		planner.Plan(&snap, in.cfg)
 		out = append(out, float64(time.Since(t0))/1e6)
 	}
 	return out
