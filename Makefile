@@ -42,10 +42,10 @@ bench-multistage:
 ## bench-cluster: the dataplane report plus the distributed-runtime
 ## sweep — the multistage 2-stage shape hosted on two cluster workers,
 ## every hop over a real socket. Per transport (tcp, unix) the sweep
-## measures the gob oracle and the binary wire at each coalescing
-## budget (off / 4KB / 32KB), recording tuples/sec, bytes/tuple and
-## allocs/msg per point (cluster_sweep in the report; the binary/32KB
-## default also lands under cluster_interval_{tcp,unix}). Read against
+## measures the wire at each coalescing budget (off / 4KB / 32KB),
+## recording tuples/sec, bytes/tuple and allocs/msg per point
+## (cluster_sweep in the report; the 32KB default also lands under
+## cluster_interval_{tcp,unix}). Read against
 ## multistage_interval: the remaining delta is serialization plus the
 ## kernel's socket path.
 bench-cluster:
@@ -58,8 +58,8 @@ bench-cluster:
 ## RebalanceLatency is the migration-mode comparison: p50/p99 feed
 ## latency with and without a concurrent plan, pausing vs pause-free —
 ## the pause-free protocol's p99 must stay flat across a rebalance.
-## WireCodec isolates the gob codec's per-message cost (the retained
-## staging buffer keeps allocs/msg flat as report populations grow).
+## WireCodec isolates the codec's per-message report cost (retained
+## encode scratch keeps allocs/msg flat as report populations grow).
 bench-control:
 	$(GO) test -run '^$$' -bench 'ControlRound|EngineInterval|RebalanceLatency|WireCodec' -benchmem -benchtime 1s ./internal/control/
 

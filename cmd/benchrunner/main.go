@@ -186,11 +186,11 @@ type dataplaneReport struct {
 	// per-key replication starts to pay on this host.
 	Sweep []sweepPoint `json:"hotkey_sweep,omitempty"`
 	// Cluster holds the distributed-runtime sweep (-cluster): per
-	// transport, the gob oracle plus the binary wire at each coalescing
-	// budget (off / 4KB / 32KB), with wire-efficiency columns next to
-	// the throughput. cluster_interval_{tcp,unix} in TuplesPerSec mirror
-	// the binary/32KB points (the default configuration), keeping the
-	// scalar trajectory keys comparable across schema versions.
+	// transport, the wire at each coalescing budget (off / 4KB / 32KB),
+	// with wire-efficiency columns next to the throughput.
+	// cluster_interval_{tcp,unix} in TuplesPerSec mirror the 32KB points
+	// (the default configuration), keeping the scalar trajectory keys
+	// comparable across schema versions.
 	Cluster []clusterPoint `json:"cluster_sweep,omitempty"`
 	// HarvestSweep holds the tracked-key population sweep (-keys): each
 	// population measured through interval close plus one wire control
@@ -211,7 +211,7 @@ type dataplaneReport struct {
 // is exactly why the column moves with the budget.
 type clusterPoint struct {
 	Network       string  `json:"network"`
-	Wire          string  `json:"wire"`     // "gob" | "binary"
+	Wire          string  `json:"wire"`     // always "binary"; committed rows also hold "gob"
 	Coalesce      string  `json:"coalesce"` // "off" | "4KB" | "32KB"
 	TuplesPerSec  float64 `json:"tuples_per_sec"`
 	BytesPerTuple float64 `json:"bytes_per_tuple"`
@@ -220,7 +220,7 @@ type clusterPoint struct {
 
 // harvestPoint is one (population, harvest mode) measurement: mean
 // per-interval close time, mean hold-round time (close + report +
-// decide + resume over the gob wire), and mean LoadReport bytes per
+// decide + resume over the wire), and mean LoadReport bytes per
 // round received on the controller side. Mode is "full" (every round
 // re-sends the whole population) or "delta" (rounds ride changed +
 // retired sets).
@@ -635,35 +635,32 @@ func writeDataplaneReport(path string, feeders int, multistage, clusterB bool, m
 	// feed, inter-stage transfer, control drive — crosses a real
 	// socket). Spout tuples/sec again, so the points read directly
 	// against multistage_interval: the delta is serialization plus the
-	// kernel's socket path. Each transport is swept across the wire
-	// configurations — the gob oracle (always one frame per chunk),
-	// then the binary codec with coalescing off, at a 4KB budget, and
-	// at the 32KB default — so the report separates what the codec buys
-	// from what batching the syscalls buys. The binary/32KB point also
-	// lands in TuplesPerSec under the v6 scalar keys, keeping the
-	// old-vs-new trajectory readable across the schema change.
+	// kernel's socket path. Each transport is swept across coalescing
+	// budgets — off, 4KB and the 32KB default — so the report separates
+	// what batching the syscalls buys. The 32KB point also lands in
+	// TuplesPerSec under the v6 scalar keys, keeping the old-vs-new
+	// trajectory readable across the schema change. Every point is
+	// labelled wire "binary", so old-vs-new matching never pairs it
+	// with a committed gob row.
 	if clusterB {
 		registerBenchOps()
 		wireCfgs := []struct {
-			wire     string
 			coalesce int
 			label    string
 		}{
-			{"gob", -1, "off"},
-			{"binary", -1, "off"},
-			{"binary", 4 << 10, "4KB"},
-			{"binary", 32 << 10, "32KB"},
+			{-1, "off"},
+			{4 << 10, "4KB"},
+			{32 << 10, "32KB"},
 		}
 		for _, network := range []string{"tcp", "unix"} {
 			for _, cf := range wireCfgs {
-				pt, err := clusterRate(network, msBudget, cf.wire == "gob", cf.coalesce)
+				pt, err := clusterRate(network, msBudget, cf.coalesce)
 				if err != nil {
-					return fmt.Errorf("cluster bench (%s, wire=%s, coalesce=%s): %w",
-						network, cf.wire, cf.label, err)
+					return fmt.Errorf("cluster bench (%s, coalesce=%s): %w", network, cf.label, err)
 				}
-				pt.Network, pt.Wire, pt.Coalesce = network, cf.wire, cf.label
+				pt.Network, pt.Wire, pt.Coalesce = network, "binary", cf.label
 				report.Cluster = append(report.Cluster, pt)
-				if cf.wire == "binary" && cf.label == "32KB" {
+				if cf.label == "32KB" {
 					report.TuplesPerSec["cluster_interval_"+network] = pt.TuplesPerSec
 				}
 			}
@@ -797,12 +794,11 @@ func registerBenchOps() {
 
 // clusterRate measures end-to-end spout tuples/sec of the 2-stage
 // forwarding topology hosted on two cluster workers over one
-// transport, with the wire codec (gobWire pins the oracle) and the
-// frame-coalescing budget fixed for the run. The workers run
-// in-process (goroutines, not exec) so the measurement isolates the
-// wire cost — serialization plus the socket round trips of the
-// interval drive — without process spawn noise; the bytes still cross
-// real kernel sockets.
+// transport, with the frame-coalescing budget fixed for the run. The
+// workers run in-process (goroutines, not exec) so the measurement
+// isolates the wire cost — serialization plus the socket round trips
+// of the interval drive — without process spawn noise; the bytes still
+// cross real kernel sockets.
 //
 // Wire-efficiency columns come from the shutdown Stats: bytes and
 // messages are whole-session totals (two warm-up intervals and the
@@ -810,10 +806,8 @@ func registerBenchOps() {
 // intervals long), while the allocation count covers exactly the timed
 // region, so allocs/msg slightly understates steady state rather than
 // crediting warm-up.
-func clusterRate(network string, msBudget int64, gobWire bool, coalesce int) (clusterPoint, error) {
+func clusterRate(network string, msBudget int64, coalesce int) (clusterPoint, error) {
 	const nWorkers = 2
-	cluster.SetWireGob(gobWire)
-	defer cluster.SetWireGob(false)
 	var pt clusterPoint
 	var emittedTotal, sentBytes, sentMsgs int64
 	var benchErr error
@@ -867,8 +861,8 @@ func clusterRate(network string, msBudget int64, gobWire bool, coalesce int) (cl
 			return
 		}
 		// Two untimed warm-up intervals: the first interval pays one-off
-		// costs (gob type dictionaries crossing every connection, TCP
-		// window growth) that would dominate a b.N=1 probe.
+		// costs (gob frames for placement and handshakes, TCP window
+		// growth) that would dominate a b.N=1 probe.
 		if err := c.Run(2); err != nil {
 			benchErr = err
 			return

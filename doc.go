@@ -51,7 +51,7 @@
 // every step crosses the transport as a protocol message (LoadReport,
 // PlanAnnounce, Resize, StateTransfer, Ack, Resume). The default
 // transport is an in-process loopback; topology.WireControl() runs the
-// identical rounds through the gob Codec over a pipe, pinned
+// identical rounds through the protocol Codec over a pipe, pinned
 // equivalent, so a multi-process deployment only swaps the connection.
 // ScaleIn is a real actuator (engine.Stage.ScaleIn — drain the
 // retiring task, shrink the hash ring, migrate its keys' windowed

@@ -26,21 +26,15 @@ var chunkPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &
 // round-robin shuffle routing plus arrival accounting stay bit-for-bit
 // identical across the process boundary.
 //
-// On a binary-wire connection each chunk is encoded OUTSIDE the mutex
-// into pooled scratch (protocol.AppendBatchChunk touches no shared
-// state), then appended under the lock to a pending coalesced frame:
-// multiple chunks aggregate into one wire frame up to the coalescing
-// byte budget, force-flushed at the interval barrier by Flush. Only the
+// Each chunk is encoded OUTSIDE the mutex into pooled scratch
+// (protocol.AppendBatchChunk touches no shared state), then appended
+// under the lock to a pending coalesced frame: multiple chunks
+// aggregate into one wire frame up to the coalescing byte budget,
+// force-flushed at the interval barrier by Flush. Only the
 // append-and-maybe-write is serialized, so upstream task goroutines
-// fanning into one edge no longer convoy behind each other's gob
-// reflection walk. Sub-batch length prefixes inside the frame keep the
-// chunk sequence intact.
-//
-// On a gob connection (the selectable equivalence oracle, and the
-// fallback for old peers) the PR 9 behavior is kept verbatim: one
-// TupleBatch message per FeedBatch call, encoded under the mutex — the
-// gob encoder is stateful (it streams type descriptors once), so its
-// encode cannot leave the lock.
+// fanning into one edge never convoy behind each other's encoding.
+// Sub-batch length prefixes inside the frame keep the chunk sequence
+// intact.
 //
 // Errors latch: the first failure poisons the connection and every
 // later call becomes a no-op, surfaced at the next Flush — the data
@@ -58,9 +52,7 @@ type BatchConn struct {
 
 // NewBatchConn wraps an established data connection. coalesce is the
 // coalescing byte budget: 0 picks DefCoalesce, negative disables
-// coalescing (every FeedBatch ships its own frame, the PR 9 wire
-// cadence). The budget only applies on binary-wire connections; the gob
-// oracle always ships per chunk.
+// coalescing (every FeedBatch ships its own frame).
 func NewBatchConn(c *Conn, coalesce int) *BatchConn {
 	switch {
 	case coalesce == 0:
@@ -78,15 +70,6 @@ func NewBatchConn(c *Conn, coalesce int) *BatchConn {
 // into the same edge).
 func (b *BatchConn) FeedBatch(ts []tuple.Tuple) {
 	if len(ts) == 0 {
-		return
-	}
-	if !b.c.Binary() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.err != nil {
-			return
-		}
-		b.err = b.c.Send(&protocol.Message{Batch: &protocol.TupleBatch{Tuples: ts}})
 		return
 	}
 	sp := chunkPool.Get().(*[]byte)

@@ -14,15 +14,13 @@
 // negotiation protocol.
 //
 // Three connection kinds tie the processes together, all built on the
-// length-framed protocol.NewFramedCodec over TCP or unix sockets and
-// opening with a Hello/Welcome handshake. The handshake itself always
-// speaks gob; feature bits in it negotiate the wire for everything
-// after — by default both sides hold FeatureBinary and switch to the
-// hand-rolled binary codec (zero-reflection encoding for batches,
-// flushes, the interval drive and the control round, plus FeedBatch
-// frame coalescing up to Spec.Coalesce bytes on data edges), while old
-// peers, or processes pinned with SetWireGob / REPRO_WIRE=gob /
-// -wire gob, fall back to the framed gob oracle:
+// length-framed protocol.NewCodec over TCP or unix sockets and opening
+// with a Hello/Welcome handshake that checks the session version
+// (Proto). Every frame, handshake included, speaks the one
+// kind-dispatched wire: zero-reflection encoding for batches, flushes,
+// the interval drive and the control round, self-contained gob frames
+// for the rare kinds, and FeedBatch frame coalescing up to
+// Spec.Coalesce bytes on data edges:
 //
 //   - the worker session (one per worker, dialed at startup): stage
 //     assignments, interval StartInterval/CloseStage/HarvestReq drive,
@@ -46,8 +44,6 @@
 // shipped arrival accounting, the emission plane is the same
 // engine.Emitter (so chunk boundaries, and hence shuffle routing, are
 // preserved), and every FeedBatch call's chunk boundary survives the
-// wire — as its own TupleBatch message on the gob oracle, as a
-// length-prefixed sub-batch inside a coalesced binary frame otherwise
-// — so the receiver replays the exact same FeedBatch sequence either
-// way.
+// wire as a length-prefixed sub-batch inside a coalesced frame, so the
+// receiver replays the exact same FeedBatch sequence.
 package cluster

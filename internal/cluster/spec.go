@@ -57,8 +57,7 @@ type Spec struct {
 	// Coalesce is the data-plane frame-coalescing byte budget, applied
 	// to every edge (spout→s0 and each inter-stage connection): 0 takes
 	// DefCoalesce, negative disables coalescing (one wire frame per
-	// FeedBatch chunk — the PR 9 cadence). Only effective on
-	// binary-wire connections; the gob oracle always ships per chunk.
+	// FeedBatch chunk).
 	Coalesce int
 }
 

@@ -1,109 +1,36 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
-	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/protocol"
-	"repro/internal/tuple"
 )
 
 // Proto is the cluster session protocol version, validated on both
-// sides of every Hello/Welcome handshake.
-const Proto = 1
-
-// Feature bits, advertised in Hello.Features and granted (as a subset)
-// in Welcome.Features. The handshake itself always speaks gob, so a
-// peer that predates a feature simply never offers or grants its bit
-// and the connection falls back cleanly.
-const (
-	// FeatureBinary switches the connection to the hand-rolled binary
-	// wire (internal/protocol's kind-dispatched frames) immediately
-	// after the Welcome. Both sides must hold the bit: the dialer
-	// offers it, the accepter grants it back.
-	FeatureBinary uint32 = 1 << 0
-)
-
-// knownFeatures is every bit this build understands. A Hello carrying
-// bits outside this set is from a newer or corrupt peer; the accepter
-// rejects it with a clean error rather than guessing.
-const knownFeatures = FeatureBinary
-
-// wireGob, when set, stops this process from offering or granting
-// FeatureBinary: every connection speaks the framed gob wire end to
-// end. It is the equivalence oracle knob — the same role the pausing
-// migration path and store-and-forward play — selectable per process
-// via SetWireGob, the REPRO_WIRE=gob environment variable, or the
-// -wire flag on cmd/worker and cmd/coordinator.
-var wireGob atomic.Bool
-
-func init() {
-	if os.Getenv("REPRO_WIRE") == "gob" {
-		wireGob.Store(true)
-	}
-}
-
-// SetWireGob selects the wire codec for connections this process opens
-// or accepts from now on: true pins the framed gob oracle, false
-// (default) negotiates the binary wire.
-func SetWireGob(v bool) { wireGob.Store(v) }
-
-// WireGob reports whether the gob oracle is pinned.
-func WireGob() bool { return wireGob.Load() }
-
-// offeredFeatures returns the feature bits this process advertises and
-// is willing to grant.
-func offeredFeatures() uint32 {
-	if wireGob.Load() {
-		return 0
-	}
-	return FeatureBinary
-}
+// sides of every Hello/Welcome handshake. Version 2 is the single
+// framed binary wire from the first byte; version-1 peers opened with
+// a gob stream and are refused at the handshake.
+const Proto = 2
 
 // handshakeTimeout bounds the Hello/Welcome exchange (and nothing
 // else: established connections block indefinitely — the interval
 // clock, not a timer, paces the session).
 const handshakeTimeout = 10 * time.Second
 
-func init() {
-	// Tuple values cross the wire as gob interface values; register the
-	// concrete types the in-tree workloads and operators put there.
-	// Applications with custom value types add theirs via
-	// state.RegisterValue (the same registry).
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register([]byte(nil))
-	gob.Register(tuple.Key(0))
-	gob.Register([]tuple.Key(nil))
-}
-
-// Conn is one established cluster connection: the framed gob codec
-// over a TCP or unix socket, with per-direction byte counters and a
-// clean-shutdown close. It satisfies control.Conn, so a coordinator's
-// control.Server and a worker's control.Executor speak over it
-// unchanged.
+// Conn is one established cluster connection: the framed protocol
+// codec over a TCP or unix socket, with per-direction byte counters
+// and a clean-shutdown close. It satisfies control.Conn, so a
+// coordinator's control.Server and a worker's control.Executor speak
+// over it unchanged.
 type Conn struct {
 	*protocol.Codec
 	c    net.Conn
 	name string
 	once sync.Once
-	// offered holds the peer's Hello feature bits on an accepted
-	// connection, pending the Welcome; features holds the negotiated
-	// set once the handshake completes.
-	offered  uint32
-	features uint32
 }
-
-// Features returns the feature bits both sides agreed to.
-func (c *Conn) Features() uint32 { return c.features }
 
 // Name returns the label the connection reports byte counters under.
 func (c *Conn) Name() string { return c.name }
@@ -144,12 +71,11 @@ func (c *Conn) Close() error {
 func Dial(network, addr string, hello *protocol.Hello) (*Conn, *protocol.Welcome, error) {
 	h := *hello
 	h.Proto = Proto
-	h.Features = offeredFeatures()
 	nc, err := net.DialTimeout(network, addr, handshakeTimeout)
 	if err != nil {
 		return nil, nil, err
 	}
-	c := &Conn{Codec: protocol.NewFramedCodec(nc), c: nc, name: h.Role}
+	c := &Conn{Codec: protocol.NewCodec(nc), c: nc, name: h.Role}
 	_ = nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	if err := c.Send(&protocol.Message{Hello: &h}); err != nil {
 		nc.Close()
@@ -167,14 +93,6 @@ func Dial(network, addr string, hello *protocol.Hello) (*Conn, *protocol.Welcome
 	if m.Welcome.Proto != Proto {
 		nc.Close()
 		return nil, nil, fmt.Errorf("cluster: protocol version mismatch: ours %d, peer %d", Proto, m.Welcome.Proto)
-	}
-	if granted := m.Welcome.Features; granted&^h.Features != 0 {
-		nc.Close()
-		return nil, nil, fmt.Errorf("cluster: handshake: peer granted feature bits %#x we never offered (%#x)", granted, h.Features)
-	}
-	c.features = m.Welcome.Features
-	if c.features&FeatureBinary != 0 {
-		c.EnableBinary()
 	}
 	_ = nc.SetDeadline(time.Time{})
 	return c, m.Welcome, nil
@@ -215,7 +133,7 @@ func (l *Listener) Accept() (*Conn, *protocol.Hello, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c := &Conn{Codec: protocol.NewFramedCodec(nc), c: nc, name: "conn"}
+	c := &Conn{Codec: protocol.NewCodec(nc), c: nc, name: "conn"}
 	_ = nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	m, err := c.Recv()
 	if err != nil {
@@ -230,11 +148,6 @@ func (l *Listener) Accept() (*Conn, *protocol.Hello, error) {
 		nc.Close()
 		return nil, nil, fmt.Errorf("cluster: protocol version mismatch: ours %d, peer %d", Proto, m.Hello.Proto)
 	}
-	if unknown := m.Hello.Features &^ knownFeatures; unknown != 0 {
-		nc.Close()
-		return nil, nil, fmt.Errorf("cluster: handshake: unknown feature bits %#x in hello (known %#x)", unknown, knownFeatures)
-	}
-	c.offered = m.Hello.Features
 	_ = nc.SetDeadline(time.Time{})
 	c.name = m.Hello.Role
 	return c, m.Hello, nil
@@ -242,18 +155,7 @@ func (l *Listener) Accept() (*Conn, *protocol.Hello, error) {
 
 // Welcome completes an accepted handshake, assigning the connection an
 // id (workers get their registration index; control and data
-// connections echo their stage) and granting the intersection of the
-// peer's offered features with this process's own. The Welcome itself
-// still travels as gob; any granted codec switches on immediately
-// after, so both sides change modes at the same stream position.
+// connections echo their stage).
 func (c *Conn) Welcome(id int) error {
-	granted := c.offered & offeredFeatures()
-	if err := c.Send(&protocol.Message{Welcome: &protocol.Welcome{Proto: Proto, ID: id, Features: granted}}); err != nil {
-		return err
-	}
-	c.features = granted
-	if granted&FeatureBinary != 0 {
-		c.EnableBinary()
-	}
-	return nil
+	return c.Send(&protocol.Message{Welcome: &protocol.Welcome{Proto: Proto, ID: id}})
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkClusterWire drives the 2-stage forwarding topology on two
-// in-process workers over a unix socket, once per wire configuration —
+// in-process workers over a unix socket, once per coalescing budget —
 // the in-package twin of benchrunner's -cluster sweep, here so the
 // socket data plane can be CPU/heap-profiled with the standard test
 // flags.
@@ -20,16 +20,12 @@ func BenchmarkClusterWire(b *testing.B) {
 	registerWireBenchOps()
 	for _, cfg := range []struct {
 		name     string
-		gob      bool
 		coalesce int
 	}{
-		{"gob", true, -1},
-		{"binary-off", false, -1},
-		{"binary-32k", false, 32 << 10},
+		{"binary-off", -1},
+		{"binary-32k", 32 << 10},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			SetWireGob(cfg.gob)
-			defer SetWireGob(false)
 			b.ReportAllocs()
 			runWireBench(b, cfg.coalesce)
 		})

@@ -102,20 +102,11 @@ func BenchmarkControlRound(b *testing.B) {
 	}
 }
 
-// BenchmarkRebalanceLatency is the tentpole's headline measurement:
-// the distribution of FeedBatch call latency — p50 and p99, reported
-// as p50-µs / p99-µs — with and without a controller goroutine
-// applying rebalance plans continuously, on the pausing oracle versus
-// the pause-free generation protocol. On the pausing path every plan
-// pauses feeds and drains in-flight sends, so the rebalance case
-// shows a p99 cliff over its steady case; pause-free feeders never
-// block on a plan and p99 stays flat. Run via `make bench-control`.
-// BenchmarkWireCodec measures the gob codec's per-message cost for
-// report traffic at several population sizes — the satellite win here
-// is the retained staging buffer: each Send gob-encodes into a reused
-// bytes.Buffer and hits the transport with one Write, so steady-state
-// allocations per message stay flat as reports grow. Run with
-// -benchmem; B/msg is the encoded wire size.
+// BenchmarkWireCodec measures the codec's per-message cost for report
+// traffic at several population sizes: each Send encodes into retained
+// scratch and hits the transport with one framed Write, so
+// steady-state allocations per message stay flat as reports grow. Run
+// with -benchmem; B/msg is the encoded payload size.
 func BenchmarkWireCodec(b *testing.B) {
 	for _, keys := range []int{0, 64, 1024} {
 		b.Run(fmt.Sprintf("report/keys=%d", keys), func(b *testing.B) {
@@ -143,6 +134,14 @@ func BenchmarkWireCodec(b *testing.B) {
 	}
 }
 
+// BenchmarkRebalanceLatency is the tentpole's headline measurement:
+// the distribution of FeedBatch call latency — p50 and p99, reported
+// as p50-µs / p99-µs — with and without a controller goroutine
+// applying rebalance plans continuously, on the pausing oracle versus
+// the pause-free generation protocol. On the pausing path every plan
+// pauses feeds and drains in-flight sends, so the rebalance case
+// shows a p99 cliff over its steady case; pause-free feeders never
+// block on a plan and p99 stays flat. Run via `make bench-control`.
 func BenchmarkRebalanceLatency(b *testing.B) {
 	const (
 		nd        = 4

@@ -26,7 +26,7 @@
 // generalized ResizeStage — and every step of every command crosses a
 // Conn as a protocol message. The default transport is an in-process
 // loopback (channel-passed messages); the Wire option runs the same
-// bytes through a gob Codec over a synchronous pipe, pinned equivalent
+// bytes through the protocol Codec over a synchronous pipe, pinned equivalent
 // by test, so a multi-process deployment only swaps the Conn.
 //
 // With engine.HarvestIncremental, step 1 rides the delta report form:

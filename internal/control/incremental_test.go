@@ -51,7 +51,7 @@ func (c *capturePolicy) Decide(env control.Env, snap *stats.Snapshot) []control.
 // over the delta stream (HarvestIncremental, mirror-reconstructed on
 // the controller side, full rebases forced around every command),
 // produce bit-identical series, snapshots and routing tables — over
-// the real gob wire transport.
+// the real wire transport.
 func TestIncrementalLoopMatchesFullLoop(t *testing.T) {
 	run := func(h engine.HarvestMode) (*engine.Engine, *engine.Stage) {
 		e, st := mkEngineH(101, h)

@@ -292,7 +292,7 @@ func (x *Executor) ack(interval int64) {
 // Loop wires a complete per-stage control loop in one process: the
 // stage-side Executor, the controller-side policy Server on its own
 // goroutine, and the Conn pair between them (loopback by default, the
-// gob wire transport with Wire). Register Hook with the engine's
+// wire transport with Wire). Register Hook with the engine's
 // per-stage snapshot fan-out; Close tears the server down.
 type Loop struct {
 	x    *Executor
@@ -305,7 +305,7 @@ type LoopOption func(*loopCfg)
 
 type loopCfg struct{ wire bool }
 
-// Wire selects the gob-Codec-over-pipe transport instead of the
+// Wire selects the Codec-over-pipe transport instead of the
 // in-process loopback: every control message is fully serialized and
 // parsed, exactly as across a process boundary. Pinned equivalent to
 // the loopback by test; used to prove multi-process readiness and to
@@ -355,7 +355,7 @@ func (l *Loop) Close() {
 }
 
 // WireBytes reports the cumulative bytes the controller transport has
-// sent and received, when the transport counts them (the gob wire
+// sent and received, when the transport counts them (the wire
 // transport does; the in-process loopback moves no bytes and reports
 // zeros). bench-control and the harvest sweep use it to measure
 // control-plane bandwidth.

@@ -79,8 +79,8 @@ func NewLoopbackPair() (Conn, Conn) {
 		&chanConn{out: ba, in: ab, done: done, once: once}
 }
 
-// pipeConn frames messages with the gob Codec over a real byte-stream
-// connection — the wire transport.
+// pipeConn frames messages with the protocol Codec over a real
+// byte-stream connection — the wire transport.
 type pipeConn struct {
 	*protocol.Codec
 	c net.Conn
@@ -88,7 +88,7 @@ type pipeConn struct {
 
 func (p *pipeConn) Close() error { return p.c.Close() }
 
-// NewWirePair returns two Conns speaking the gob wire format over an
+// NewWirePair returns two Conns speaking the protocol wire over an
 // in-memory synchronous pipe — every message is fully encoded and
 // decoded, exactly as it would be across a process boundary. The
 // control loop is pinned to behave identically over NewLoopbackPair

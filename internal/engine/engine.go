@@ -651,13 +651,6 @@ func (e *Engine) ResizeStageObserved(si, delta int, obs MigrationObserver) (int6
 	}
 }
 
-// ScaleOutTarget adds an instance to the target stage (Fig. 15
-// scenario); it is ResizeStage(Target, +1), kept for callers of the
-// pre-ResizeStage API.
-func (e *Engine) ScaleOutTarget() (int64, error) {
-	return e.ResizeStage(e.Target, 1)
-}
-
 // Stop terminates all stage goroutines.
 func (e *Engine) Stop() {
 	if e.stopped {

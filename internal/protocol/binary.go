@@ -11,19 +11,18 @@ import (
 	"repro/internal/tuple"
 )
 
-// The binary wire format: a hand-rolled, zero-reflection codec for the
+// The wire format: a hand-rolled, zero-reflection codec for the
 // messages that dominate the wire in steady state — the data plane
 // (TupleBatch, Flush), the per-interval control round (LoadReport, Ack,
 // Resume, Resync) and the interval drive itself (StartInterval,
 // CloseStage, HarvestReq, HarvestDone — one of each per stage per
-// interval, which matters because a gob fallback frame is
-// self-contained: a fresh encoder re-sends type descriptors and a fresh
-// decoder recompiles its engines, several thousand allocations per
-// frame). Everything else (handshake, placement, plans,
-// state transfers — messages sent once per session or once per command)
-// rides as a self-contained gob stream behind a per-frame kind
-// dispatch, so no message kind ever needs a binary encoding to cross
-// the wire.
+// interval, which matters because a gob frame is self-contained: a
+// fresh encoder re-sends type descriptors and a fresh decoder
+// recompiles its engines, several thousand allocations per frame).
+// Everything else (handshake, placement, plans, state transfers —
+// messages sent once per session or once per command) rides as a
+// self-contained gob stream behind a per-frame kind dispatch, so no
+// message kind ever needs a binary encoding to cross the wire.
 //
 // Every frame (inside the 4-byte length framing of framing.go) begins
 // with one kind byte:
@@ -55,9 +54,8 @@ import (
 // returns ErrBinaryFrame-wrapped errors — hostile input can make the
 // codec fail, never panic or over-allocate.
 
-// Frame kind bytes. kindGob must be zero: a binary-mode peer that
-// accidentally feeds a gob stream to the dispatcher fails cleanly on
-// the length framing, not silently.
+// Frame kind bytes. A frame whose kind byte is kindMax or above fails
+// with ErrBinaryFrame.
 const (
 	kindGob byte = iota
 	kindBatch
@@ -88,7 +86,7 @@ var ErrBinaryFrame = errors.New("protocol: malformed binary frame")
 // Value type tags for tuple.Value. The tagged set covers every concrete
 // type the in-tree workloads and operators put in tuples; anything else
 // falls back to a per-value gob blob (tag valGob), which requires the
-// type to be gob-registered exactly as the all-gob wire does.
+// type to be gob-registered (state.RegisterValue).
 const (
 	valNil byte = iota
 	valInt64
@@ -796,11 +794,11 @@ func decodeHarvestDone(body []byte) (*Message, error) {
 	return &Message{Harvested: h}, nil
 }
 
-// sendBinary dispatches one message under the binary wire: hot kinds
+// send dispatches one message by kind: hot kinds
 // take the hand-rolled encoding through the retained scratch buffer
 // (amortized zero allocations per message); everything else becomes a
 // self-contained gob stream behind kindGob.
-func (c *Codec) sendBinary(m *Message) error {
+func (c *Codec) send(m *Message) error {
 	switch {
 	case m.Batch != nil:
 		b := AppendBatchHeader(c.bin[:0])
@@ -885,12 +883,12 @@ func (c *Codec) sendBinary(m *Message) error {
 	}
 }
 
-// recvBinary reads one frame and dispatches on its kind byte. Batch and
+// recv reads one frame and dispatches on its kind byte. Batch and
 // Flush messages (the data-plane hot path) reuse codec-owned storage —
 // tuples decode into a pooled retained slice, mirroring the engine's
 // recycled feed buffers — and are invalidated by the next Recv on this
 // codec; all control-plane messages are freshly allocated.
-func (c *Codec) recvBinary() (*Message, error) {
+func (c *Codec) recv() (*Message, error) {
 	p, err := c.fr.frame()
 	if err != nil {
 		return nil, err

@@ -11,18 +11,14 @@ import (
 	"repro/internal/tuple"
 )
 
-// binaryPair returns a sender and receiver codec speaking the binary
-// wire over one in-memory stream.
+// binaryPair returns a sender and receiver codec over one in-memory
+// stream.
 func binaryPair(buf *bytes.Buffer) (*Codec, *Codec) {
-	send := NewFramedCodec(buf)
-	recv := NewFramedCodec(readerOnly{buf})
-	send.EnableBinary()
-	recv.EnableBinary()
-	return send, recv
+	return NewCodec(buf), NewCodec(readerOnly{buf})
 }
 
 // TestBinaryRoundTripAllKinds drives every message kind through the
-// binary wire — hand-rolled hot kinds and gob-fallback rare kinds alike
+// codec — hand-rolled hot kinds and gob-framed rare kinds alike
 // — and requires exact reproduction.
 func TestBinaryRoundTripAllKinds(t *testing.T) {
 	var buf bytes.Buffer
@@ -145,37 +141,39 @@ func TestBinaryCoalescedBounds(t *testing.T) {
 	}
 }
 
-// TestBinaryModeSwitch pins the handshake pattern: a stream that starts
-// in gob (Hello/Welcome) and switches both sides to binary afterwards
-// keeps decoding cleanly — the framed gob decoder must not read ahead
-// past its own messages.
+// TestBinaryModeSwitch pins the handshake pattern: a stream that opens
+// with gob frames (Hello/Welcome) and continues with hand-rolled binary
+// frames decodes cleanly, with every frame queued on the stream before
+// the receiver starts. Each frame is self-describing by its kind byte,
+// so the codec never changes mode between them.
 func TestBinaryModeSwitch(t *testing.T) {
 	var buf bytes.Buffer
-	send := NewFramedCodec(&buf)
-	recv := NewFramedCodec(readerOnly{&buf})
+	send := NewCodec(&buf)
+	recv := NewCodec(readerOnly{&buf})
 
-	// Handshake in gob, then data in binary — all queued on one stream
-	// before the receiver starts, the worst case for readahead.
-	if err := send.Send(&Message{Hello: &Hello{Proto: 1, Role: "data", Features: 1}}); err != nil {
-		t.Fatalf("send hello: %v", err)
-	}
-	send.EnableBinary()
 	batch := &Message{Batch: &TupleBatch{Tuples: []tuple.Tuple{tuple.New(7, int64(9))}}}
-	if err := send.Send(batch); err != nil {
-		t.Fatalf("send batch: %v", err)
-	}
-	if err := send.Send(&Message{FlushReq: &Flush{Seq: 3}}); err != nil {
-		t.Fatalf("send flush: %v", err)
+	for _, m := range []*Message{
+		{Hello: &Hello{Proto: 2, Role: "data"}},
+		batch,
+		{Welcome: &Welcome{Proto: 2, ID: 4}},
+		{FlushReq: &Flush{Seq: 3}},
+	} {
+		if err := send.Send(m); err != nil {
+			t.Fatalf("send %s: %v", m.Kind(), err)
+		}
 	}
 
 	m, err := recv.Recv()
-	if err != nil || m.Hello == nil {
+	if err != nil || m.Hello == nil || m.Hello.Role != "data" {
 		t.Fatalf("recv hello = %v, %v", m, err)
 	}
-	recv.EnableBinary()
 	m, err = recv.Recv()
 	if err != nil || m.Batch == nil || m.Batch.Tuples[0].Key != 7 {
 		t.Fatalf("recv batch = %v, %v", m, err)
+	}
+	m, err = recv.Recv()
+	if err != nil || m.Welcome == nil || m.Welcome.ID != 4 {
+		t.Fatalf("recv welcome = %v, %v", m, err)
 	}
 	m, err = recv.Recv()
 	if err != nil || m.FlushReq == nil || m.FlushReq.Seq != 3 {
@@ -213,8 +211,7 @@ func TestBinaryHostileInputs(t *testing.T) {
 			var stream []byte
 			stream = append(stream, byte(len(payload)>>24), byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)))
 			stream = append(stream, payload...)
-			c := NewFramedCodec(readerOnly{bytes.NewReader(stream)})
-			c.EnableBinary()
+			c := NewCodec(readerOnly{bytes.NewReader(stream)})
 			if m, err := c.Recv(); err == nil {
 				t.Fatalf("hostile frame decoded as %s", m.Kind())
 			} else if errors.Is(err, io.EOF) && len(payload) > 0 {
@@ -266,17 +263,16 @@ type discardRW struct{}
 func (discardRW) Read(p []byte) (int, error)  { return 0, io.EOF }
 func (discardRW) Write(p []byte) (int, error) { return len(p), nil }
 
-// BenchmarkTupleBatchCodec measures the data-plane hot path per codec:
-// one 256-tuple TupleBatch encoded and decoded per iteration. The
-// binary wire must run amortized zero allocations per message in both
-// directions (pooled scratch, retained decode storage); gob is the
-// baseline it replaces.
+// BenchmarkTupleBatchCodec measures the data-plane hot path: one
+// 256-tuple TupleBatch encoded and decoded per iteration. Scalar
+// batches must run amortized zero allocations per message in both
+// directions (pooled scratch, retained decode storage).
 func BenchmarkTupleBatchCodec(b *testing.B) {
 	const batchSize = 256
 
-	bench := func(b *testing.B, msg *Message, mk func(io.ReadWriter) *Codec) {
+	bench := func(b *testing.B, msg *Message) {
 		b.Run("encode", func(b *testing.B) {
-			c := mk(discardRW{})
+			c := NewCodec(discardRW{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -288,8 +284,7 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 		})
 		b.Run("roundtrip", func(b *testing.B) {
 			var buf bytes.Buffer
-			send := mk(&buf)
-			recv := mk(readerOnly{&buf})
+			send, recv := binaryPair(&buf)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -308,17 +303,11 @@ func BenchmarkTupleBatchCodec(b *testing.B) {
 		})
 	}
 
-	mkBinary := func(rw io.ReadWriter) *Codec {
-		c := NewFramedCodec(rw)
-		c.EnableBinary()
-		return c
-	}
 	for _, shape := range []struct {
 		name      string
 		composite bool
 	}{{"scalar", false}, {"composite", true}} {
 		msg := &Message{Batch: &TupleBatch{Tuples: benchBatch(batchSize, shape.composite)}}
-		b.Run(shape.name+"/binary", func(b *testing.B) { bench(b, msg, mkBinary) })
-		b.Run(shape.name+"/gob", func(b *testing.B) { bench(b, msg, NewFramedCodec) })
+		b.Run(shape.name+"/binary", func(b *testing.B) { bench(b, msg) })
 	}
 }

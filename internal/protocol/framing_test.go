@@ -14,7 +14,7 @@ import (
 // half of the clean-vs-truncated distinction.
 func TestFramedShutdownMarker(t *testing.T) {
 	var wire bytes.Buffer
-	c := NewFramedCodec(&wire)
+	c := NewCodec(&wire)
 	want := &Message{Resume: &Resume{Interval: 7}}
 	if err := c.Send(want); err != nil {
 		t.Fatalf("send: %v", err)
@@ -23,7 +23,7 @@ func TestFramedShutdownMarker(t *testing.T) {
 		t.Fatalf("shutdown frame: %v", err)
 	}
 
-	rc := NewFramedCodec(readerOnly{bytes.NewReader(wire.Bytes())})
+	rc := NewCodec(readerOnly{bytes.NewReader(wire.Bytes())})
 	got, err := rc.Recv()
 	if err != nil {
 		t.Fatalf("recv before marker: %v", err)
@@ -45,11 +45,11 @@ func TestFramedShutdownMarker(t *testing.T) {
 // clean EOF, not a truncation error.
 func TestFramedCleanCloseWithoutMarker(t *testing.T) {
 	var wire bytes.Buffer
-	c := NewFramedCodec(&wire)
+	c := NewCodec(&wire)
 	if err := c.Send(&Message{Ack: &Ack{TaskID: 1, Interval: 3}}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	rc := NewFramedCodec(readerOnly{bytes.NewReader(wire.Bytes())})
+	rc := NewCodec(readerOnly{bytes.NewReader(wire.Bytes())})
 	if _, err := rc.Recv(); err != nil {
 		t.Fatalf("recv: %v", err)
 	}
@@ -62,13 +62,13 @@ func TestFramedCleanCloseWithoutMarker(t *testing.T) {
 // must surface as errors wrapping io.ErrUnexpectedEOF.
 func TestFramedTruncation(t *testing.T) {
 	var wire bytes.Buffer
-	c := NewFramedCodec(&wire)
+	c := NewCodec(&wire)
 	if err := c.Send(&Message{Resume: &Resume{Interval: 9}}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	full := wire.Bytes()
 	for _, cut := range []int{1, 2, 3, frameHeaderLen + 1, len(full) - 1} {
-		rc := NewFramedCodec(readerOnly{bytes.NewReader(full[:cut])})
+		rc := NewCodec(readerOnly{bytes.NewReader(full[:cut])})
 		_, err := rc.Recv()
 		if err == nil {
 			t.Fatalf("cut %d: decoded a message from a truncated stream", cut)
@@ -87,7 +87,7 @@ func TestFramedTruncation(t *testing.T) {
 func TestFramedOversizeFrame(t *testing.T) {
 	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(maxFrame+1))
-	rc := NewFramedCodec(readerOnly{bytes.NewReader(hdr[:])})
+	rc := NewCodec(readerOnly{bytes.NewReader(hdr[:])})
 	_, err := rc.Recv()
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize frame: %v, want ErrFrameTooLarge", err)
@@ -99,41 +99,37 @@ func TestFramedOversizeFrame(t *testing.T) {
 	}
 }
 
-// TestFramedCountersMatchPlain: the framed codec's byte counters count
-// gob payload only, so loopback, pipe and socket transports report
-// comparable control-plane bandwidth.
-func TestFramedCountersMatchPlain(t *testing.T) {
+// TestFramedCountersExcludeHeaders: the codec's byte counters count
+// frame payload only, so the stream carries exactly one 4-byte header
+// per message beyond what SentBytes and RecvBytes report.
+func TestFramedCountersExcludeHeaders(t *testing.T) {
 	msgs := []*Message{
 		{Report: &LoadReport{TaskID: 1, Interval: 2, Tasks: 4}},
 		{Resume: &Resume{Interval: 2}},
+		{Plan: &PlanAnnounce{Interval: 2, Table: []RouteEntry{{Key: 5, Dest: 1}}}},
 	}
-	var plainWire, framedWire bytes.Buffer
-	plain := NewCodec(&plainWire)
-	framed := NewFramedCodec(&framedWire)
+	var wire bytes.Buffer
+	c := NewCodec(&wire)
 	for _, m := range msgs {
-		if err := plain.Send(m); err != nil {
-			t.Fatalf("plain send: %v", err)
-		}
-		if err := framed.Send(m); err != nil {
-			t.Fatalf("framed send: %v", err)
+		if err := c.Send(m); err != nil {
+			t.Fatalf("send %s: %v", m.Kind(), err)
 		}
 	}
-	if plain.SentBytes() != framed.SentBytes() {
-		t.Fatalf("sent counters differ: plain %d, framed %d", plain.SentBytes(), framed.SentBytes())
+	if want := int64(wire.Len() - len(msgs)*frameHeaderLen); c.SentBytes() != want {
+		t.Fatalf("sent counter %d, want %d (wire %d bytes less %d headers)",
+			c.SentBytes(), want, wire.Len(), len(msgs))
 	}
-	rc := NewFramedCodec(readerOnly{bytes.NewReader(framedWire.Bytes())})
+	if c.SentMsgs() != int64(len(msgs)) {
+		t.Fatalf("sent msgs %d, want %d", c.SentMsgs(), len(msgs))
+	}
+	rc := NewCodec(readerOnly{bytes.NewReader(wire.Bytes())})
 	for range msgs {
 		if _, err := rc.Recv(); err != nil {
 			t.Fatalf("recv: %v", err)
 		}
 	}
-	if rc.RecvBytes() != plain.SentBytes() {
-		t.Fatalf("recv counter %d, want %d", rc.RecvBytes(), plain.SentBytes())
-	}
-	// And the framed stream carries exactly one 4-byte header per
-	// message beyond the gob payload.
-	if int64(framedWire.Len()) != plain.SentBytes()+int64(len(msgs)*frameHeaderLen) {
-		t.Fatalf("framed wire %d bytes, want payload %d + %d headers",
-			framedWire.Len(), plain.SentBytes(), len(msgs)*frameHeaderLen)
+	if rc.RecvBytes() != c.SentBytes() || rc.RecvMsgs() != c.SentMsgs() {
+		t.Fatalf("recv counters %d B / %d msgs, want %d B / %d msgs",
+			rc.RecvBytes(), rc.RecvMsgs(), c.SentBytes(), c.SentMsgs())
 	}
 }

@@ -3,8 +3,6 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -13,14 +11,6 @@ import (
 	"repro/internal/state"
 	"repro/internal/tuple"
 )
-
-func init() {
-	// Interface-typed payload fields (tuple.Value, state.Entry.Value)
-	// need their concrete types registered, exactly as a cluster
-	// deployment registers them at startup.
-	gob.Register(int64(0))
-	gob.Register([]tuple.Key(nil))
-}
 
 // windowPayload builds a real serialized window via state.Codec: a
 // store filled deterministically from the rng, one key extracted and
@@ -244,11 +234,11 @@ func buildMessage(seed uint64, kind, n int) *Message {
 }
 
 // FuzzCodecRoundTrip drives arbitrary messages of every kind through
-// the gob codec and requires the decoded value to reproduce the
-// original exactly — the property the wire transport's equivalence
-// with the loopback rests on. Seeds cover every kind at empty,
-// single-entry and many-entry sizes (empty routing tables, multi-entry
-// Moved sets, delta reports with empty change sets included).
+// the codec and requires the decoded value to reproduce the original
+// exactly — the property the wire transport's equivalence with the
+// loopback rests on. Seeds cover every kind at empty, single-entry and
+// many-entry sizes (empty routing tables, multi-entry Moved sets, delta
+// reports with empty change sets included).
 func FuzzCodecRoundTrip(f *testing.F) {
 	for kind := 0; kind < 19; kind++ {
 		for _, n := range []int{0, 1, 17} {
@@ -260,48 +250,38 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			n = -n
 		}
 		n %= 1 << 12
-		for name, mk := range map[string]func(io.ReadWriter) *Codec{
-			"plain":  func(rw io.ReadWriter) *Codec { return NewCodec(rw) },
-			"framed": NewFramedCodec,
-			"binary": func(rw io.ReadWriter) *Codec {
-				c := NewFramedCodec(rw)
-				c.EnableBinary()
-				return c
-			},
-		} {
-			orig := buildMessage(seed, kind, n)
+		orig := buildMessage(seed, kind, n)
 
-			var buf bytes.Buffer
-			c := mk(&buf)
-			if err := c.Send(orig); err != nil {
-				t.Fatalf("%s send %s: %v", name, orig.Kind(), err)
-			}
-			got, err := c.Recv()
-			if err != nil {
-				t.Fatalf("%s recv %s: %v", name, orig.Kind(), err)
-			}
-			if got.Kind() != orig.Kind() {
-				t.Fatalf("%s: kind %s decoded as %s", name, orig.Kind(), got.Kind())
-			}
-			// Gob does not distinguish nil from empty slices; normalize
-			// before the exact comparison.
-			if !reflect.DeepEqual(normalize(orig), normalize(got)) {
-				t.Fatalf("%s round trip altered the message:\n sent %#v\n got  %#v", name, orig, got)
-			}
+		var buf bytes.Buffer
+		c := NewCodec(&buf)
+		if err := c.Send(orig); err != nil {
+			t.Fatalf("send %s: %v", orig.Kind(), err)
+		}
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("recv %s: %v", orig.Kind(), err)
+		}
+		if got.Kind() != orig.Kind() {
+			t.Fatalf("kind %s decoded as %s", orig.Kind(), got.Kind())
+		}
+		// Gob does not distinguish nil from empty slices; normalize
+		// before the exact comparison.
+		if !reflect.DeepEqual(normalize(orig), normalize(got)) {
+			t.Fatalf("round trip altered the message:\n sent %#v\n got  %#v", orig, got)
+		}
 
-			// A second message on the same stream must also survive (gob
-			// streams carry type state across values).
-			orig2 := buildMessage(seed^0xabcdef, kind+1, n/2+1)
-			if err := c.Send(orig2); err != nil {
-				t.Fatalf("%s second send: %v", name, err)
-			}
-			got2, err := c.Recv()
-			if err != nil {
-				t.Fatalf("%s second recv: %v", name, err)
-			}
-			if !reflect.DeepEqual(normalize(orig2), normalize(got2)) {
-				t.Fatalf("%s second round trip altered the message:\n sent %#v\n got  %#v", name, orig2, got2)
-			}
+		// A second message on the same stream must also survive (the
+		// codec's retained scratch and decode storage carry over).
+		orig2 := buildMessage(seed^0xabcdef, kind+1, n/2+1)
+		if err := c.Send(orig2); err != nil {
+			t.Fatalf("second send: %v", err)
+		}
+		got2, err := c.Recv()
+		if err != nil {
+			t.Fatalf("second recv: %v", err)
+		}
+		if !reflect.DeepEqual(normalize(orig2), normalize(got2)) {
+			t.Fatalf("second round trip altered the message:\n sent %#v\n got  %#v", orig2, got2)
 		}
 	})
 }
@@ -321,54 +301,42 @@ func FuzzFramedTruncation(f *testing.F) {
 			n = -n
 		}
 		n %= 1 << 10
-		for _, mode := range []string{"gob", "binary"} {
-			var wire bytes.Buffer
-			sender := NewFramedCodec(&wire)
-			if mode == "binary" {
-				sender.EnableBinary()
+		var wire bytes.Buffer
+		sender := NewCodec(&wire)
+		msgs := make([]*Message, 3)
+		for i := range msgs {
+			msgs[i] = buildMessage(seed+uint64(i), kind+i, n)
+			if err := sender.Send(msgs[i]); err != nil {
+				t.Fatalf("send %d: %v", i, err)
 			}
-			msgs := make([]*Message, 3)
-			for i := range msgs {
-				msgs[i] = buildMessage(seed+uint64(i), kind+i, n)
-				if err := sender.Send(msgs[i]); err != nil {
-					t.Fatalf("%s send %d: %v", mode, i, err)
-				}
-			}
-			full := wire.Bytes()
-			c := cut
-			if c < 0 {
-				c = -c
-			}
-			c %= len(full) + 1
+		}
+		full := wire.Bytes()
+		c := cut
+		if c < 0 {
+			c = -c
+		}
+		c %= len(full) + 1
 
-			rc := NewFramedCodec(readerOnly{bytes.NewReader(full[:c])})
-			if mode == "binary" {
-				rc.EnableBinary()
+		// Any error on a truncated tail is acceptable; what must never
+		// happen is a silent wrong message.
+		rc := NewCodec(readerOnly{bytes.NewReader(full[:c])})
+		decoded := 0
+		for {
+			got, err := rc.Recv()
+			if err != nil {
+				break
 			}
-			decoded := 0
-			for {
-				got, err := rc.Recv()
-				if err != nil {
-					if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrFrameTooLarge) {
-						// gob- or binary-level errors on a truncated tail are
-						// fine too; what must never happen is a silent wrong
-						// message.
-						_ = err
-					}
-					break
-				}
-				if decoded >= len(msgs) {
-					t.Fatalf("%s: decoded %d messages from a %d-message stream", mode, decoded+1, len(msgs))
-				}
-				if !reflect.DeepEqual(normalize(msgs[decoded]), normalize(got)) {
-					t.Fatalf("%s: prefix cut at %d delivered a corrupt message %d:\n sent %#v\n got  %#v",
-						mode, c, decoded, msgs[decoded], got)
-				}
-				decoded++
+			if decoded >= len(msgs) {
+				t.Fatalf("decoded %d messages from a %d-message stream", decoded+1, len(msgs))
 			}
-			if c == len(full) && decoded != len(msgs) {
-				t.Fatalf("%s: full stream decoded only %d of %d messages", mode, decoded, len(msgs))
+			if !reflect.DeepEqual(normalize(msgs[decoded]), normalize(got)) {
+				t.Fatalf("prefix cut at %d delivered a corrupt message %d:\n sent %#v\n got  %#v",
+					c, decoded, msgs[decoded], got)
 			}
+			decoded++
+		}
+		if c == len(full) && decoded != len(msgs) {
+			t.Fatalf("full stream decoded only %d of %d messages", decoded, len(msgs))
 		}
 	})
 }
@@ -381,8 +349,7 @@ func FuzzFramedTruncation(f *testing.F) {
 func FuzzBinaryHostile(f *testing.F) {
 	for _, kind := range []int{0, 1, 3, 4, 5, 7, 8, 15, 16} {
 		var wire bytes.Buffer
-		c := NewFramedCodec(&wire)
-		c.EnableBinary()
+		c := NewCodec(&wire)
 		if err := c.Send(buildMessage(uint64(kind)*977, kind, 9)); err != nil {
 			f.Fatalf("seed kind %d: %v", kind, err)
 		}
@@ -402,8 +369,7 @@ func FuzzBinaryHostile(f *testing.F) {
 		var stream []byte
 		stream = binary.BigEndian.AppendUint32(stream, uint32(len(payload)))
 		stream = append(stream, payload...)
-		c := NewFramedCodec(readerOnly{bytes.NewReader(stream)})
-		c.EnableBinary()
+		c := NewCodec(readerOnly{bytes.NewReader(stream)})
 		for {
 			m, err := c.Recv()
 			if err != nil {
@@ -416,7 +382,7 @@ func FuzzBinaryHostile(f *testing.F) {
 	})
 }
 
-// readerOnly hides any Write method so NewFramedCodec's writer half is
+// readerOnly hides any Write method so NewCodec's writer half is
 // inert in replay tests.
 type readerOnly struct{ r io.Reader }
 

@@ -1,15 +1,13 @@
 // Package protocol defines the wire messages of the elastic control
 // workflow — the rebalance sequence of Fig. 5 plus the resize commands
 // of the unified control plane — and a codec for exchanging them over
-// any net.Conn-like transport. The codec's default encoding is gob;
-// framed codecs can additionally switch to a hand-rolled binary wire
-// (binary.go: kind-dispatched frames, zero-reflection columnar
-// encoding for the steady-state message set, gob fallback for rare
-// kinds) after both peers agree in a handshake. The in-process engine
-// speaks this protocol through internal/control's loopback transport;
-// the same bytes flow over a real network boundary (the Codec-over-pipe
-// transport is pinned equivalent), so a multi-process deployment can
-// speak it unchanged:
+// any net.Conn-like transport. The codec speaks one wire: length-framed,
+// kind-dispatched binary frames (binary.go: zero-reflection columnar
+// encoding for the steady-state message set, a self-contained gob frame
+// for rare kinds). The in-process engine speaks this protocol through
+// internal/control's loopback transport; the same bytes flow over a
+// real network boundary (the Codec-over-pipe transport is pinned
+// equivalent), so a multi-process deployment can speak it unchanged:
 //
 //	task       → controller  : LoadReport        (step 1)
 //	controller → upstream    : PlanAnnounce+Pause (steps 3–4)
@@ -32,7 +30,6 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -197,22 +194,14 @@ type Hello struct {
 	Worker   string
 	Stage    int
 	DataAddr string
-	// Features advertises the dialer's optional wire capabilities as a
-	// bit set (see internal/cluster's FeatureBinary). The accepting side
-	// answers with the intersection it agreed to; both sides switch any
-	// negotiated codec on only after the Welcome, so the handshake
-	// itself always speaks plain gob and old peers interoperate.
-	Features uint32
 }
 
 // Welcome answers a Hello: the accepting side confirms the protocol
-// version, assigns the connection an id (for workers, their
-// registration index), and echoes the subset of the dialer's offered
-// feature bits it accepts.
+// version and assigns the connection an id (for workers, their
+// registration index).
 type Welcome struct {
-	Proto    int
-	ID       int
-	Features uint32
+	Proto int
+	ID    int
 }
 
 // StageAssign places one pipeline stage on a worker: everything the
@@ -222,17 +211,17 @@ type Welcome struct {
 // last stage, whose emissions are discarded after the terminal
 // operator runs).
 type StageAssign struct {
-	Stage      int
-	Name       string
-	Op         string
-	Instances  int
-	Window     int
-	Algorithm  string
-	Capacity   int64
-	Budget     int64
-	Harvest    int
-	PauseFree  bool
-	StateWire  bool
+	Stage     int
+	Name      string
+	Op        string
+	Instances int
+	Window    int
+	Algorithm string
+	Capacity  int64
+	Budget    int64
+	Harvest   int
+	PauseFree bool
+	StateWire bool
 	// Control tells the worker to dial a per-stage control connection
 	// back to the coordinator (set when the stage has coordinator-side
 	// policies; planner-less stages skip the control plane entirely).
@@ -344,9 +333,8 @@ type Shutdown struct {
 }
 
 // ConnStat is one connection's byte and message counters, by name. A
-// message is one codec unit on the wire — one gob value or one binary
-// frame — so with frame coalescing SentMsgs counts coalesced frames,
-// not the FeedBatch chunks packed inside them.
+// message is one wire frame, so with frame coalescing SentMsgs counts
+// coalesced frames, not the FeedBatch chunks packed inside them.
 type ConnStat struct {
 	Name     string
 	Sent     int64
@@ -435,132 +423,79 @@ func (m *Message) Kind() string {
 	}
 }
 
-// Codec frames Messages over a byte stream. The default encoding is
-// gob: each message is staged in one retained encode buffer and written
-// with a single Write — gob would otherwise issue several small writes
-// per message (type descriptors, then the value), each a syscall on a
-// real socket — and the buffer is reused across messages, so
-// steady-state sends allocate nothing. The staging also makes exact
-// per-direction byte counters (SentBytes/RecvBytes) free; bench-control
-// and the harvest sweep read them to report control-plane bandwidth.
-//
-// A framed codec (NewFramedCodec) can additionally switch to the
-// hand-rolled binary wire (binary.go) with EnableBinary, after both
-// sides agreed in the cluster handshake: data-plane and steady-state
-// control frames take the zero-reflection columnar encoding, everything
-// else rides as a self-contained gob frame behind a kind byte. The
-// switch is safe mid-stream because the framed gob decoder reads from a
-// source that implements io.ByteReader — gob never wraps it in bufio,
-// so it consumes exactly its own message bytes and the next frame is
-// intact for the binary dispatcher.
+// Codec frames Messages over a byte stream: every message is one
+// length-prefixed frame (framing.go) whose first byte names its kind
+// (binary.go). Data-plane and steady-state control frames take the
+// zero-reflection columnar encoding; everything else rides as a
+// self-contained gob frame. Each frame is staged in a retained buffer
+// and written with a single Write (one syscall on a real socket), so
+// steady-state sends allocate nothing, and exact per-direction byte
+// counters (SentBytes/RecvBytes, frame headers excluded) come free;
+// bench-control and the harvest sweep read them to report
+// control-plane bandwidth.
 //
 // Send and Recv are each single-caller (the control loop's contract);
 // the counters may be read from any goroutine.
 type Codec struct {
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	w    io.Writer
+	w    frameWriter
+	fr   frameReader
 	buf  bytes.Buffer
 	sent atomic.Int64
 	rcvd atomic.Int64
-	// Message counters: one increment per wire unit (gob value or
-	// binary frame), so coalesced frames count once however many chunks
-	// they carry. The bench sweep reads them for its allocs/msg column.
+	// Message counters: one increment per frame, so coalesced frames
+	// count once however many chunks they carry. The bench sweep reads
+	// them for its allocs/msg column.
 	sentMsgs atomic.Int64
 	rcvdMsgs atomic.Int64
 
-	// Binary-wire state (framed codecs only). bin is the retained
-	// encode scratch; tup/bounds are the retained decode storage that
-	// successive hot-path batches reuse (the receive-side mirror of the
-	// engine's pooled feed buffers); strs interns stream labels.
-	fr     *frameReader
-	binary bool
+	// bin is the retained encode scratch; tup/bounds are the retained
+	// decode storage that successive hot-path batches reuse (the
+	// receive-side mirror of the engine's pooled feed buffers); strs
+	// interns stream labels.
 	bin    []byte
 	tup    []tuple.Tuple
 	bounds []int
 	strs   map[string]string
 
-	// Retained hot-path message envelopes: Recv in binary mode returns
-	// pointers into these for TupleBatch/Flush, valid until the next
-	// Recv — exactly the aliasing contract BatchConn and the worker's
-	// data loop already live by. Control messages (reports, acks) are
-	// freshly allocated, because the control server retains them across
-	// rounds.
+	// Retained hot-path message envelopes: Recv returns pointers into
+	// these for TupleBatch/Flush, valid until the next Recv — exactly
+	// the aliasing contract BatchConn and the worker's data loop already
+	// live by. Control messages (reports, acks) are freshly allocated,
+	// because the control server retains them across rounds.
 	hotMsg   Message
 	hotBatch TupleBatch
 	hotFlush Flush
 }
 
-// NewCodec wraps a bidirectional stream.
+// NewCodec wraps a bidirectional byte stream in the framed codec.
 func NewCodec(rw io.ReadWriter) *Codec {
-	c := &Codec{w: rw}
-	c.enc = gob.NewEncoder(&c.buf)
-	c.dec = gob.NewDecoder(&countingReader{r: rw, n: &c.rcvd})
-	return c
+	return &Codec{w: frameWriter{w: rw}, fr: frameReader{r: rw}}
 }
 
-// Send encodes one message.
+// Send encodes one message as one frame.
 func (c *Codec) Send(m *Message) error {
 	if m.Kind() == "empty" {
 		return fmt.Errorf("protocol: refusing to send empty message")
 	}
-	if c.binary {
-		return c.sendBinary(m)
-	}
-	c.buf.Reset()
-	if err := c.enc.Encode(m); err != nil {
-		return err
-	}
-	n, err := c.w.Write(c.buf.Bytes())
-	c.sent.Add(int64(n))
-	c.sentMsgs.Add(1)
-	return err
+	return c.send(m)
 }
 
-// Recv decodes the next message. In binary mode, Batch and FlushReq
-// results alias codec-owned storage and are valid until the next Recv;
-// all other kinds are freshly allocated.
+// Recv decodes the next message. Batch and FlushReq results alias
+// codec-owned storage and are valid until the next Recv; all other
+// kinds are freshly allocated.
 func (c *Codec) Recv() (*Message, error) {
-	if c.binary {
-		m, err := c.recvBinary()
-		if err == nil {
-			c.rcvdMsgs.Add(1)
-		}
-		return m, err
+	m, err := c.recv()
+	if err == nil {
+		c.rcvdMsgs.Add(1)
 	}
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		return nil, err
-	}
-	c.rcvdMsgs.Add(1)
-	return &m, nil
+	return m, err
 }
 
-// EnableBinary switches a framed codec to the binary wire. Call it on
-// both sides at the same stream position (after the Hello/Welcome
-// exchange agreed on FeatureBinary); every message from then on is a
-// kind-dispatched binary frame. Panics on a non-framed codec — the
-// binary wire only exists inside length framing.
-func (c *Codec) EnableBinary() {
-	if c.fr == nil {
-		panic("protocol: EnableBinary on a non-framed codec")
-	}
-	c.binary = true
-}
-
-// Binary reports whether the codec is speaking the binary wire.
-func (c *Codec) Binary() bool { return c.binary }
-
-// SendFrame writes one pre-encoded binary frame (kind byte included),
-// built with AppendBatchHeader/AppendBatchChunk/PatchBatchHeader. It is
-// the coalescing sender's path: the frame body is encoded outside any
-// lock and only this write needs serializing.
-func (c *Codec) SendFrame(p []byte) error {
-	if !c.binary {
-		return fmt.Errorf("protocol: SendFrame on a non-binary codec")
-	}
-	return c.writeFrame(p)
-}
+// SendFrame writes one pre-encoded frame (kind byte included), built
+// with AppendBatchHeader/AppendBatchChunk/PatchBatchHeader. It is the
+// coalescing sender's path: the frame body is encoded outside any lock
+// and only this write needs serializing.
+func (c *Codec) SendFrame(p []byte) error { return c.writeFrame(p) }
 
 func (c *Codec) writeFrame(p []byte) error {
 	n, err := c.w.Write(p)
@@ -569,29 +504,18 @@ func (c *Codec) writeFrame(p []byte) error {
 	return err
 }
 
-// SentBytes returns the total bytes written to the stream so far.
+// SentBytes returns the total frame payload bytes written so far.
 func (c *Codec) SentBytes() int64 { return c.sent.Load() }
 
-// RecvBytes returns the total bytes read from the stream so far.
+// RecvBytes returns the total frame payload bytes read so far.
 func (c *Codec) RecvBytes() int64 { return c.rcvd.Load() }
 
-// SentMsgs returns the number of wire units written so far — gob
-// values or binary frames, each coalesced frame counting once.
+// SentMsgs returns the number of frames written so far, each coalesced
+// frame counting once.
 func (c *Codec) SentMsgs() int64 { return c.sentMsgs.Load() }
 
-// RecvMsgs returns the number of wire units read so far.
+// RecvMsgs returns the number of frames read so far.
 func (c *Codec) RecvMsgs() int64 { return c.rcvdMsgs.Load() }
-
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n.Add(int64(n))
-	return n, err
-}
 
 // ReportFromStats converts a tracker harvest into a LoadReport.
 func ReportFromStats(taskID int, interval int64, perKey map[tuple.Key]stats.KeyStat) *LoadReport {

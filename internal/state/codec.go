@@ -24,12 +24,12 @@ import (
 // already gob-registered basic types must call RegisterValue once at
 // startup on each side.
 //
-// This codec deliberately stays gob even on binary-wire connections
-// (the payload crosses inside a kind-dispatched gob frame): state
-// transfers happen once per migrated key per rebalance, not per
-// interval, and gob's self-describing stream is the right safety
-// trade for arbitrary operator state. The binary wire reserves its
-// hand-rolled encodings for the per-interval message set.
+// This codec deliberately stays gob (the payload crosses inside a
+// kind-dispatched gob frame of the protocol wire): state transfers
+// happen once per migrated key per rebalance, not per interval, and
+// gob's self-describing stream is the right safety trade for arbitrary
+// operator state. The wire reserves its hand-rolled encodings for the
+// per-interval message set.
 type Codec struct{}
 
 // wireBucket mirrors bucket with exported fields for encoding.
@@ -86,3 +86,11 @@ func (Codec) Decode(p []byte) (Migrated, int64, error) {
 // again with the same type is a no-op; wrap it so operator packages
 // need not import encoding/gob.
 func RegisterValue(v any) { gob.Register(v) }
+
+func init() {
+	// encoding/gob registers the basic types itself; tuple.Key and
+	// []tuple.Key are the other values the in-tree operators keep in
+	// their windows.
+	RegisterValue(tuple.Key(0))
+	RegisterValue([]tuple.Key(nil))
+}

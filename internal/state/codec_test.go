@@ -142,3 +142,32 @@ func TestCodecCorruptPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestCodecKeyValues: windows whose entries hold tuple.Key and
+// []tuple.Key values round-trip through the codec with only this
+// package linked in — the registrations live next to RegisterValue,
+// not in whichever transport happens to ship the payload.
+func TestCodecKeyValues(t *testing.T) {
+	var c Codec
+	src := NewStore(2)
+	want := []Entry{
+		{Value: tuple.Key(9), Size: 1},
+		{Value: []tuple.Key{4, 5}, Size: 2},
+	}
+	for _, e := range want {
+		src.Add(7, e)
+	}
+	p, err := c.Encode(src.Extract(7), 3)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	got, _, err := c.Decode(p)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	dst := NewStore(2)
+	dst.Inject(got)
+	if gotE := dst.Entries(7); !reflect.DeepEqual(gotE, want) {
+		t.Fatalf("entries after round trip:\n got  %#v\n want %#v", gotE, want)
+	}
+}

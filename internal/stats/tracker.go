@@ -92,8 +92,8 @@ type Tracker struct {
 }
 
 // cell is one key's interval accumulator. epoch stamps the interval of
-// the last touch: a live cell with a stale epoch carries already
-//-harvested values and is logically absent from the current interval.
+// the last touch: a live cell with a stale epoch carries values already
+// harvested and is logically absent from the current interval.
 type cell struct {
 	key   tuple.Key
 	live  bool

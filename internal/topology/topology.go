@@ -155,7 +155,7 @@ type Builder struct {
 	spoutB  engine.SpoutBatch
 	ecfg    engine.Config
 	pipe    *bool // explicit transfer-mode choice; nil = default
-	wire    bool  // control loops speak the gob wire transport
+	wire    bool  // control loops speak the wire transport
 	advance func(interval int64)
 	stages  []*stageSpec
 }
@@ -221,7 +221,7 @@ func StoreAndForward() Option {
 	return func(b *Builder) { b.pipe = &off }
 }
 
-// WireControl runs every stage's control loop over the gob
+// WireControl runs every stage's control loop over the
 // Codec-over-pipe transport instead of the in-process loopback: each
 // control message (load reports, plan announcements, resizes, state
 // transfers, acks, resume) is fully serialized and parsed per round.
